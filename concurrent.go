@@ -29,13 +29,13 @@ import (
 // the commit, because publish happens before the mutation call returns.
 //
 // Memory: dense writers keep a second n×n buffer and re-sync only the
-// rows updates dirtied (warm Apply stays zero-allocation); packed
+// cells the last update wrote (warm Apply stays zero-allocation); packed
 // writers copy-on-write ~64 KiB triangle chunks as they touch them;
 // approx writers copy-on-write per-node walk rows as repairs touch
 // them. A long-running reader
 // pinning an old view costs at most its view's buffers — the writer
 // detects the straggler and abandons the buffer to the GC instead of
-// blocking or racing it.
+// blocking or racing it (ViewInfo.BufferAbandons counts those).
 type ConcurrentEngine struct {
 	// writerMu serializes mutations (and only mutations — readers never
 	// take it).
@@ -54,6 +54,9 @@ type ConcurrentEngine struct {
 	old []*engineView
 	// views counts publishes (the /stats views_published gauge).
 	views atomic.Int64
+	// abandons counts buffers prepareWrite orphaned to a straggling
+	// reader (the /stats store_buffer_abandons counter).
+	abandons atomic.Int64
 	// wal, when non-nil (SetWAL), receives every committed mutation as
 	// an epoch-tagged record before its view publishes. Writer-owned:
 	// only touched under writerMu.
@@ -144,6 +147,7 @@ func (c *ConcurrentEngine) prepareWrite() {
 	for _, v := range c.old { // all still-tracked views are busy
 		if c.eng.viewPinsRecycleTarget(v) {
 			c.eng.abandonWriteBuffers()
+			c.abandons.Add(1)
 			break
 		}
 	}
@@ -226,8 +230,9 @@ func (c *ConcurrentEngine) Size() (n, m int) {
 func (c *ConcurrentEngine) Epoch() uint64 { return c.view.Load().epoch }
 
 // ViewInfo is the observability surface of the MVCC read path, served
-// as /stats epoch / view_age_ms / inflight_readers / views_published.
-// All fields except Published and the cache counters describe ONE view,
+// as /stats epoch / view_age_ms / inflight_readers / views_published /
+// store_buffer_abandons. All fields except Published, BufferAbandons
+// and the cache counters describe ONE view,
 // so a stats reading cannot mix epochs (reporting epoch E+1 alongside
 // epoch-E node counts).
 type ViewInfo struct {
@@ -240,6 +245,12 @@ type ViewInfo struct {
 	Readers int64
 	// Published counts views published over the engine's lifetime.
 	Published int64
+	// BufferAbandons counts the writes that found a straggling reader
+	// pinning the buffer the dense double buffer would recycle, and so
+	// dropped that buffer to the GC: each costs the next flip a fresh
+	// 8n²-byte allocation and a full copy. Always zero on packed and
+	// approx, which never rewrite a buffer in place.
+	BufferAbandons int64
 	// N and M are the view's node and edge counts.
 	N, M int
 	// Backend and StoreBytes describe the view's similarity store.
@@ -264,14 +275,15 @@ type ViewInfo struct {
 func (c *ConcurrentEngine) ViewInfo() ViewInfo {
 	v := c.view.Load()
 	vi := ViewInfo{
-		Epoch:      v.epoch,
-		Age:        time.Since(v.published),
-		Readers:    v.readers.Load(),
-		Published:  c.views.Load(),
-		N:          v.n,
-		M:          v.m,
-		Backend:    v.s.Backend(),
-		StoreBytes: v.storeBytes,
+		Epoch:          v.epoch,
+		Age:            time.Since(v.published),
+		Readers:        v.readers.Load(),
+		Published:      c.views.Load(),
+		BufferAbandons: c.abandons.Load(),
+		N:              v.n,
+		M:              v.m,
+		Backend:        v.s.Backend(),
+		StoreBytes:     v.storeBytes,
 	}
 	if v.cache != nil {
 		vi.Cache = v.cache.Stats()

@@ -60,7 +60,7 @@
 // point in time (Size returns a coherent (n, m); WriteSnapshot
 // serializes the pinned view while the writer keeps committing).
 // Sealing copies no similarity payload: the dense backend double-buffers
-// and re-syncs only each update's dirty rows (warm Apply stays
+// and re-syncs only the cells the last update wrote (warm Apply stays
 // zero-allocation), packed copy-on-writes ~64 KiB triangle chunks, and
 // approx copy-on-writes per-node walk rows, so a pinned view keeps
 // serving its frozen walk set while the writer repairs past it. The

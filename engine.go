@@ -387,6 +387,11 @@ func (e *Engine) Delete(i, j int) (UpdateStats, error) {
 // matrix (maintained in O(d) per update, never rebuilt) and every scratch
 // buffer the algorithms need.
 //
+// On a sealed store the kernel's writes pay the store's copy-on-write:
+// the dense double buffer marks every cell the write-back lands, and
+// its next flip re-syncs only the cells the last update wrote, so the
+// whole MVCC apply stays proportional to the affected area.
+//
 // The returned UpdateStats.DirtyRows aliases workspace scratch: it is
 // valid until this engine's next update (copy it to retain) — see the
 // lifetime contract on core.Stats.DirtyRows. ConcurrentEngine's
@@ -437,10 +442,6 @@ func (e *Engine) Apply(up Update) (UpdateStats, error) {
 	}
 	e.g.Apply(up)
 	ws.ApplyUpdate(up)
-	// Thread the dirty set into the store's copy-on-write machinery: the
-	// dense double-buffer re-syncs exactly these rows on its next flip
-	// (no-op on packed/approx, and on stores never sealed).
-	e.s.MarkRowsDirty(st.DirtyRows)
 	e.epoch++
 	if e.cache != nil {
 		// Surgical invalidation: only the rows this update wrote lose

@@ -25,19 +25,18 @@ type Stats struct {
 	// DirtyRows lists the rows of S the update wrote, unsorted — a
 	// superset of the rows whose bits actually changed (an accumulation
 	// can round to a no-op) and exactly the invalidation set a per-row
-	// query cache — and the re-sync set a copy-on-write store — needs.
-	// This is the data already tracked for AffectedPairs, exposed
-	// instead of discarded; Inc-SR reports the pruned support, Inc-uSR
-	// every row with a non-zero delta.
+	// query cache needs. This is the data already tracked for
+	// AffectedPairs, exposed instead of discarded; Inc-SR reports the
+	// pruned support, Inc-uSR every row with a non-zero delta.
 	//
 	// Lifetime contract: the slice aliases workspace scratch and is
 	// valid only from the update's return until the next update through
 	// the same Workspace — the very next IncSR/IncUSR call rewrites the
 	// backing array in place. Consumers must either finish with it
-	// before then (the engine threads it into its cache and store
-	// bookkeeping synchronously, inside the same mutation) or detach a
-	// copy at a well-defined point (the MVCC facade snapshots it once,
-	// at view-publish time). Never store the slice itself.
+	// before then (the engine threads it into its cache synchronously,
+	// inside the same mutation) or detach a copy at a well-defined point
+	// (the MVCC facade snapshots it once, at view-publish time). Never
+	// store the slice itself.
 	DirtyRows []int
 }
 

@@ -268,21 +268,22 @@ func (s *Server) Stats() StatsResponse {
 	cs := vi.Cache
 	updP50, updP99 := s.pipe.lat.percentiles()
 	resp := StatsResponse{
-		Nodes:           vi.N,
-		Edges:           vi.M,
-		Backend:         string(vi.Backend),
-		StoreBytes:      vi.StoreBytes,
-		Epoch:           vi.Epoch,
-		ViewAgeMS:       float64(vi.Age.Microseconds()) / 1e3,
-		InflightReaders: vi.Readers,
-		ViewsPublished:  vi.Published,
-		UpdatesEnqueued: st.enqueued.Load(),
-		UpdatesApplied:  st.applied.Load(),
-		UpdatesRejected: st.rejected.Load(),
-		Batches:         st.batches.Load(),
-		FailedBatches:   st.failedBatches.Load(),
-		MaxBatch:        st.maxBatch.Load(),
-		QueueDepth:      st.depth.Load(),
+		Nodes:               vi.N,
+		Edges:               vi.M,
+		Backend:             string(vi.Backend),
+		StoreBytes:          vi.StoreBytes,
+		Epoch:               vi.Epoch,
+		ViewAgeMS:           float64(vi.Age.Microseconds()) / 1e3,
+		InflightReaders:     vi.Readers,
+		ViewsPublished:      vi.Published,
+		StoreBufferAbandons: vi.BufferAbandons,
+		UpdatesEnqueued:     st.enqueued.Load(),
+		UpdatesApplied:      st.applied.Load(),
+		UpdatesRejected:     st.rejected.Load(),
+		Batches:             st.batches.Load(),
+		FailedBatches:       st.failedBatches.Load(),
+		MaxBatch:            st.maxBatch.Load(),
+		QueueDepth:          st.depth.Load(),
 
 		UpdateP50Us:   updP50,
 		UpdateP99Us:   updP99,

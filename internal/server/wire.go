@@ -144,11 +144,15 @@ type StatsResponse struct {
 	// long ago that view was published — how stale the data a fresh read
 	// observes can be, normally bounded by the write inter-arrival time;
 	// InflightReaders counts calls inside the current view right now;
-	// ViewsPublished counts publishes over the process lifetime.
-	Epoch           uint64  `json:"epoch"`
-	ViewAgeMS       float64 `json:"view_age_ms"`
-	InflightReaders int64   `json:"inflight_readers"`
-	ViewsPublished  int64   `json:"views_published"`
+	// ViewsPublished counts publishes over the process lifetime;
+	// StoreBufferAbandons counts the writes that dropped the dense
+	// store's second buffer because a straggling reader still pinned it
+	// (each costs that write an 8n²-byte allocation and full copy).
+	Epoch               uint64  `json:"epoch"`
+	ViewAgeMS           float64 `json:"view_age_ms"`
+	InflightReaders     int64   `json:"inflight_readers"`
+	ViewsPublished      int64   `json:"views_published"`
+	StoreBufferAbandons int64   `json:"store_buffer_abandons"`
 
 	UpdatesEnqueued int64 `json:"updates_enqueued"`
 	UpdatesApplied  int64 `json:"updates_applied"`

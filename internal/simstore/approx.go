@@ -156,6 +156,8 @@ func (a *Approx) Writable() bool { return !a.sealed }
 
 // MarkRowsDirty is a no-op: the walk index tracks its own copy-on-write
 // sharing per node.
+//
+// Deprecated: kept only so existing callers compile.
 func (a *Approx) MarkRowsDirty([]int) {}
 
 // At estimates s(i, j) with the store's walk budget. A deterministic

@@ -1,6 +1,10 @@
 package simstore
 
-import "repro/internal/matrix"
+import (
+	"math/bits"
+
+	"repro/internal/matrix"
+)
 
 // Dense is the classic backend: a row-major n×n matrix.Dense. Every
 // operation delegates straight to the matrix, so an engine on this store
@@ -9,13 +13,14 @@ import "repro/internal/matrix"
 //
 // MVCC: Seal hands out an immutable wrapper around the current buffer
 // and arms the double-buffer — the first write after a Seal flips to the
-// second buffer, first re-syncing only the rows the sealed buffer is
-// ahead by (the MarkRowsDirty sets accumulated since that buffer was
-// last the front). A warm single-writer therefore ping-pongs between two
-// fixed n×n buffers with zero steady-state allocations, and readers of
-// any sealed view are never raced: the writer only ever touches the
-// buffer no live view references (the facade checks, and abandons the
-// buffer to the GC instead when a straggling reader still pins it).
+// second buffer, first re-syncing only the cells the last update wrote
+// (the store marks every cell Set, Add and AddSym land in a row-aligned
+// bitset, so the sync costs O(cells written), not O(rows × n)). A warm
+// single-writer therefore ping-pongs between two fixed n×n buffers with
+// zero steady-state allocations, and readers of any sealed view are
+// never raced: the writer only ever touches the buffer no live view
+// references (the facade checks, and abandons the buffer to the GC
+// instead when a straggling reader still pins it).
 type Dense struct {
 	m *matrix.Dense
 
@@ -24,18 +29,37 @@ type Dense struct {
 	sealed bool
 
 	// Double-buffer state, dormant (zero-cost) until the first Seal:
-	// cowSeen arms the machinery, cow means the latest sealed view
-	// references m and the next write must flip first. back is the other
-	// buffer; backAll says it is wholly stale (fresh, abandoned, or
-	// post-recompute), otherwise it differs from m exactly on the rows in
-	// behind.
-	cowSeen    bool
-	cow        bool
-	back       *matrix.Dense
-	backAll    bool
-	behind     []int
-	behindMark []bool
+	// cow means the latest sealed view references m and the next write
+	// must flip first. back is the other buffer; backAll says it is
+	// wholly stale (fresh, abandoned, or post-recompute), otherwise it
+	// differs from m exactly on the cells set in written.
+	cow     bool
+	back    *matrix.Dense
+	backAll bool
+
+	// written is the written-cell bitset, allocated by the first flip
+	// (nil before it, while back is absent or wholly stale). It is
+	// row-aligned: row r owns words [r·stride, (r+1)·stride), stride =
+	// ⌈n/64⌉, and rowWritten[r] flags a row with any bit set. Row
+	// alignment is what keeps marking race-free under the row-parallel
+	// write-back: goroutines writing disjoint rows never share a word or
+	// a flag.
+	written    []uint64
+	rowWritten []bool
+	stride     int
+
+	// copied counts the cells the flips re-synced (a full copy counts
+	// n²); see CopiedCells.
+	copied int64
 }
+
+// wholeRowShare sets when a flip copies a row with one memmove instead
+// of cell by cell: once at least 1/wholeRowShare of its cells are
+// written. A scattered cell costs several times a streamed one; on a
+// 2-vCPU Xeon at n = 2048 the two break even between 1/16 and 1/8 of a
+// row written, so below 1/16 the cell walk is the cheaper copy and above
+// it a row costs no more than a whole-row copy.
+const wholeRowShare = 16
 
 // NewDense returns a zeroed n×n dense store.
 func NewDense(n int) *Dense { return &Dense{m: matrix.NewDense(n, n)} }
@@ -56,7 +80,8 @@ func (d *Dense) Matrix() *matrix.Dense { return d.m }
 // WritableMatrix returns the buffer the next writes belong in, flipping
 // the double-buffer first if the current one is referenced by a sealed
 // view. The flip brings the buffer fully up to date, so partial writes
-// are safe.
+// are safe; but they bypass the written-cell tracking, so the caller
+// must follow up with MarkAllRowsDirty before the next Seal.
 func (d *Dense) WritableMatrix() *matrix.Dense {
 	d.beforeWrite()
 	return d.m
@@ -77,7 +102,6 @@ func (d *Dense) WritableMatrixDiscard() *matrix.Dense {
 		if d.back == nil {
 			d.back = matrix.NewDense(d.m.Rows, d.m.Cols)
 		}
-		d.resetBehind()
 		d.m, d.back = d.back, d.m
 		d.backAll = true // back = the pre-rewrite front: wholly stale
 		d.cow = false
@@ -97,32 +121,83 @@ func (d *Dense) beforeWrite() {
 }
 
 // flip makes back the write target: allocate it on first need, bring it
-// up to date (full copy when wholly stale, otherwise just the behind
-// rows), and swap. The buffer being released to the sealed view(s) is
-// exactly current, so the new behind set starts empty.
+// up to date (full copy when wholly stale, otherwise just the written
+// cells), and swap. The buffer being released to the sealed view(s) is
+// exactly current, so the written set starts empty.
 func (d *Dense) flip() {
 	if d.back == nil {
 		d.back = matrix.NewDense(d.m.Rows, d.m.Cols)
 		d.backAll = true
 	}
+	if d.written == nil {
+		// The first flip starts the write tracking: a store that is
+		// sealed but never written (a read-only server) never pays for
+		// the bitset. Until now back was wholly stale anyway.
+		n := d.m.Rows
+		d.stride = (n + 63) >> 6
+		d.written = make([]uint64, n*d.stride)
+		d.rowWritten = make([]bool, n)
+	}
 	if d.backAll {
 		copy(d.back.Data, d.m.Data)
+		d.copied += int64(len(d.m.Data))
 		d.backAll = false
+		d.syncWritten(false)
 	} else {
-		for _, r := range d.behind {
-			copy(d.back.Row(r), d.m.Row(r))
-		}
+		d.syncWritten(true)
 	}
-	d.resetBehind()
 	d.m, d.back = d.back, d.m
 	d.cow = false
 }
 
-func (d *Dense) resetBehind() {
-	for _, r := range d.behind {
-		d.behindMark[r] = false
+// syncWritten clears the written set, first copying its cells from the
+// front buffer to the back when sync is set. Each flagged row is copied
+// cell by cell, or whole once wholeRowShare says a memmove is cheaper;
+// either way only its written cells count towards CopiedCells.
+func (d *Dense) syncWritten(sync bool) {
+	n := d.m.Cols
+	for r, flagged := range d.rowWritten {
+		if !flagged {
+			continue
+		}
+		d.rowWritten[r] = false
+		words := d.written[r*d.stride : (r+1)*d.stride]
+		if !sync {
+			clear(words)
+			continue
+		}
+		cells := 0
+		for _, w := range words {
+			cells += bits.OnesCount64(w)
+		}
+		d.copied += int64(cells)
+		src, dst := d.m.Row(r), d.back.Row(r)
+		if cells*wholeRowShare >= n {
+			copy(dst, src)
+			clear(words)
+			continue
+		}
+		for k, w := range words {
+			if w == 0 {
+				continue
+			}
+			words[k] = 0
+			for base := k << 6; w != 0; w &= w - 1 {
+				j := base + bits.TrailingZeros64(w)
+				dst[j] = src[j]
+			}
+		}
 	}
-	d.behind = d.behind[:0]
+}
+
+// mark records that cell (i, j) of the front buffer was written. No-op
+// until the first flip allocates the bitset.
+func (d *Dense) mark(i, j int) {
+	if d.written == nil {
+		return
+	}
+	d.written[i*d.stride+j>>6] |= 1 << (uint(j) & 63)
+	d.rowWritten[i] = true
 }
 
 // Seal returns an immutable view of the current buffer and marks it
@@ -131,11 +206,6 @@ func (d *Dense) Seal() Store {
 	if d.sealed {
 		return d
 	}
-	if !d.cowSeen {
-		d.cowSeen = true
-		d.backAll = true // nothing synced into back yet
-		d.behindMark = make([]bool, d.m.Rows)
-	}
 	d.cow = true
 	return &Dense{m: d.m, sealed: true}
 }
@@ -143,30 +213,28 @@ func (d *Dense) Seal() Store {
 // Writable reports whether the receiver accepts mutation.
 func (d *Dense) Writable() bool { return !d.sealed }
 
-// MarkRowsDirty records rows written since the last flip, so the next
-// flip re-syncs only those. No-op until the store is first sealed, or
-// while the back buffer is wholly stale anyway.
-func (d *Dense) MarkRowsDirty(rows []int) {
-	if !d.cowSeen || d.backAll {
-		return
-	}
-	for _, r := range rows {
-		if !d.behindMark[r] {
-			d.behindMark[r] = true
-			d.behind = append(d.behind, r)
-		}
-	}
-}
+// MarkRowsDirty is a no-op: the store tracks the cells it writes itself.
+//
+// Deprecated: kept only so existing callers compile; the dense flip
+// re-syncs only the cells the last update wrote without being told.
+func (d *Dense) MarkRowsDirty([]int) {}
 
 // MarkAllRowsDirty declares the back buffer wholly stale — the follow-up
-// to a full rewrite through WritableMatrix (recompute).
+// to a full rewrite through WritableMatrix (recompute). The next flip
+// copies all n² cells.
 func (d *Dense) MarkAllRowsDirty() {
-	if !d.cowSeen {
+	if d.written == nil {
 		return
 	}
-	d.resetBehind()
 	d.backAll = true
 }
+
+// CopiedCells returns the running total of cells the flips re-synced
+// into the back buffer: the written cells of each incremental flip, n²
+// for each full copy (first flip, after AbandonBack, after a
+// recompute). A row copied whole because it was mostly written counts
+// only its written cells.
+func (d *Dense) CopiedCells() int64 { return d.copied }
 
 // RecyclesBufferOf reports whether the sealed view shares the buffer
 // the receiver's next flip would write into — the exact test an MVCC
@@ -187,12 +255,11 @@ func (d *Dense) DoubleBuffered() bool { return d.back != nil }
 // The MVCC facade calls this instead of blocking the writer when a
 // long-running reader (an O(n²) Similarities copy, a snapshot) still
 // pins the buffer the next flip would recycle; the following flip
-// allocates a fresh one.
+// allocates a fresh one and copies all n² cells into it.
 func (d *Dense) AbandonBack() {
 	if d.back == nil {
 		return
 	}
-	d.resetBehind()
 	d.back = nil
 	d.backAll = true
 }
@@ -209,6 +276,7 @@ func (d *Dense) Set(i, j int, v float64) {
 		d.beforeWrite()
 	}
 	d.m.Set(i, j, v)
+	d.mark(i, j)
 }
 
 // Add accumulates v into entry (i, j).
@@ -217,6 +285,7 @@ func (d *Dense) Add(i, j int, v float64) {
 		d.beforeWrite()
 	}
 	d.m.Add(i, j, v)
+	d.mark(i, j)
 }
 
 // AddSym accumulates v into (i, j) and (j, i); see matrix.Dense.AddSym.
@@ -225,6 +294,8 @@ func (d *Dense) AddSym(i, j int, v float64) {
 		d.beforeWrite()
 	}
 	d.m.AddSym(i, j, v)
+	d.mark(i, j)
+	d.mark(j, i)
 }
 
 // BeginConcurrentWrites readies the store for the row-parallel update

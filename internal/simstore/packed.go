@@ -149,6 +149,8 @@ func (p *Packed) Writable() bool { return !p.sealed }
 
 // MarkRowsDirty is a no-op: chunk sharing is tracked by the store
 // itself, write by write.
+//
+// Deprecated: kept only so existing callers compile.
 func (p *Packed) MarkRowsDirty([]int) {}
 
 // N returns the node count.

@@ -1,10 +1,13 @@
 package simstore
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/matrix"
 )
 
 // fill writes a deterministic symmetric pattern through AddSym/Set.
@@ -82,15 +85,11 @@ func TestSealIsolatesViews(t *testing.T) {
 				if d, ok := s.(*Dense); ok && len(views) > 1 {
 					d.AbandonBack()
 				}
-				// Mutate a scattering of cells, reporting dirty rows as the
-				// engine would.
-				var dirty []int
+				// Mutate a scattering of cells.
 				for w := 0; w < 25; w++ {
 					i, j := rng.Intn(n), rng.Intn(n)
 					s.AddSym(i, j, rng.NormFloat64())
-					dirty = append(dirty, i, j)
 				}
-				s.MarkRowsDirty(dirty)
 				// Every sealed view so far must still read its frozen state.
 				for vi, sv := range views {
 					assertEquals(t, sv.view, sv.want, tc.name+" view "+string(rune('0'+vi)))
@@ -121,7 +120,7 @@ func TestSealIsolatesViews(t *testing.T) {
 
 // A dense store keeps flipping between exactly two buffers: after the
 // first flip, further seal/mutate rounds must not allocate new matrices,
-// only re-sync dirty rows.
+// only re-sync the written cells.
 func TestDenseDoubleBufferReuse(t *testing.T) {
 	const n = 16
 	d := NewDense(n)
@@ -131,7 +130,6 @@ func TestDenseDoubleBufferReuse(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		d.Seal()
 		d.AddSym(round%n, (round*3)%n, 1.5)
-		d.MarkRowsDirty([]int{round % n, (round * 3) % n})
 		seen[buf()] = true
 	}
 	if len(seen) != 2 {
@@ -148,11 +146,9 @@ func TestDenseAbandonBack(t *testing.T) {
 	v1 := d.Seal()
 	w1 := snapshotOf(d)
 	d.AddSym(1, 2, 9)
-	d.MarkRowsDirty([]int{1, 2})
 	d.Seal()
 	d.AbandonBack() // pretend v1's buffer is still pinned by a reader
 	d.AddSym(3, 4, 7)
-	d.MarkRowsDirty([]int{3, 4})
 	assertEquals(t, v1, w1, "abandoned view")
 	if got := d.At(3, 4); got == w1[3*n+4] {
 		t.Fatal("writer write lost after abandon")
@@ -179,7 +175,6 @@ func TestDenseWritableMatrixRewrite(t *testing.T) {
 	// Next seal/flip round must carry the rewrite, not stale rows.
 	d.Seal()
 	d.AddSym(0, 0, 0.5)
-	d.MarkRowsDirty([]int{0})
 	if d.At(2, 2) != float64(2*n+2) {
 		t.Fatalf("post-rewrite flip lost data: %v", d.At(2, 2))
 	}
@@ -208,7 +203,6 @@ func TestDenseWritableMatrixDiscard(t *testing.T) {
 	// rows left behind by the skipped sync.
 	d.Seal()
 	d.AddSym(0, 0, 0.5)
-	d.MarkRowsDirty([]int{0})
 	if d.At(2, 2) != float64(2*n+2) {
 		t.Fatalf("post-discard flip lost data: %v", d.At(2, 2))
 	}
@@ -323,4 +317,152 @@ func TestApproxSealedViewSurvivesRepairs(t *testing.T) {
 		}
 	}()
 	v.(*Approx).ApplyUpdate(graph.Update{Edge: graph.Edge{From: 1, To: 2}, Insert: true})
+}
+
+// A dense writer under random Set/Add/AddSym streams, with Seal,
+// AbandonBack, the recompute rewrite (WritableMatrixDiscard +
+// MarkAllRowsDirty) and row-partitioned two-goroutine Add phases mixed
+// in, must always equal a plain reference matrix, and every sealed view
+// it still holds must equal the deep copy taken at its Seal. Before a
+// pending flip the test plays the MVCC facade: a held view pinning the
+// buffer the flip would recycle is either abandoned to the GC or
+// released (its readers drained), so the cell-granular re-sync is
+// exercised across long runs of flips between the same two buffers.
+func TestDenseSealProperty(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(140) // spans one- and multi-word bitset rows
+		d := NewDense(n)
+		ref := matrix.NewDense(n, n)
+		type held struct {
+			view Store
+			want []float64
+		}
+		var views []held
+		// facade runs before every write: with a flip pending, views on
+		// the buffer it would recycle are abandoned or released.
+		facade := func() {
+			if !d.cow {
+				return
+			}
+			kept := views[:0]
+			abandon := rng.Intn(2) == 0
+			for _, v := range views {
+				if d.RecyclesBufferOf(v.view.(*Dense)) && !abandon {
+					continue
+				}
+				kept = append(kept, v)
+			}
+			views = kept
+			for _, v := range views {
+				if d.RecyclesBufferOf(v.view.(*Dense)) {
+					d.AbandonBack()
+					break
+				}
+			}
+		}
+		check := func(step int) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if got, want := d.At(i, j), ref.At(i, j); got != want {
+						t.Fatalf("seed %d step %d: writer (%d,%d) = %v, reference %v", seed, step, i, j, got, want)
+					}
+				}
+			}
+			for vi, v := range views {
+				assertEquals(t, v.view, v.want, fmt.Sprintf("seed %d step %d view %d", seed, step, vi))
+			}
+		}
+		for step := 0; step < 300; step++ {
+			i, j, x := rng.Intn(n), rng.Intn(n), rng.NormFloat64()
+			switch op := rng.Intn(100); {
+			case op < 20:
+				facade()
+				d.Set(i, j, x)
+				ref.Set(i, j, x)
+			case op < 25:
+				// A mostly-written row: the flip copies it whole.
+				facade()
+				for j := 0; j < n; j += 1 + rng.Intn(3) {
+					d.Set(i, j, x)
+					ref.Set(i, j, x)
+				}
+			case op < 50:
+				facade()
+				d.Add(i, j, x)
+				ref.Add(i, j, x)
+			case op < 70:
+				facade()
+				d.AddSym(i, j, x)
+				ref.AddSym(i, j, x)
+			case op < 85:
+				if len(views) == 4 { // the oldest view's readers drained
+					views = append(views[:0], views[1:]...)
+				}
+				views = append(views, held{d.Seal(), snapshotOf(d)})
+				check(step)
+			case op < 89:
+				d.AbandonBack()
+			case op < 92:
+				facade()
+				m := d.WritableMatrixDiscard()
+				for k := range m.Data {
+					m.Data[k] = rng.Float64()
+				}
+				copy(ref.Data, m.Data)
+				d.MarkAllRowsDirty()
+				check(step)
+			default:
+				facade()
+				denseConcurrentAdds(t, d, ref, rng.Int63())
+				check(step)
+			}
+		}
+		check(-1)
+	}
+}
+
+// denseConcurrentAdds runs one row-partitioned write-back phase: after
+// BeginConcurrentWrites, two goroutines Add into disjoint row ranges of
+// d, as the parallel update write-back does. ref receives the same adds
+// serially; every cell has one writer and a fixed add order, so the
+// bits agree.
+func denseConcurrentAdds(t *testing.T, d *Dense, ref *matrix.Dense, seed int64) {
+	t.Helper()
+	n := d.N()
+	if !d.BeginConcurrentWrites() {
+		t.Fatal("dense BeginConcurrentWrites must report a both-triangles layout")
+	}
+	type add struct {
+		i, j int
+		v    float64
+	}
+	rng := rand.New(rand.NewSource(seed))
+	mid := rng.Intn(n + 1)
+	parts := [2][]add{}
+	for w, lo, hi := 0, 0, mid; w < 2; w, lo, hi = w+1, mid, n {
+		if lo == hi {
+			continue
+		}
+		for k := 0; k < 40; k++ {
+			parts[w] = append(parts[w], add{lo + rng.Intn(hi-lo), rng.Intn(n), rng.NormFloat64()})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, part := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, a := range part {
+				d.Add(a.i, a.j, a.v)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, part := range parts {
+		for _, a := range part {
+			ref.Add(a.i, a.j, a.v)
+		}
+	}
 }

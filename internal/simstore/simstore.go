@@ -78,10 +78,10 @@ func ParseBackend(s string) (Backend, error) {
 // copies only what it is about to change:
 //
 //   - dense double-buffers: the first write after a Seal flips to the
-//     second n×n buffer, re-syncing just the rows that went stale since
-//     that buffer last held the front (the dirty sets reported through
-//     MarkRowsDirty), so a warm writer re-uses two fixed buffers and
-//     stays allocation-free;
+//     second n×n buffer, re-syncing only the cells the last update wrote
+//     (Set, Add and AddSym mark each cell they land in a row-aligned
+//     bitset), so a warm writer re-uses two fixed buffers, stays
+//     allocation-free and copies O(cells written) per flip;
 //   - packed copy-on-writes its triangle in row-aligned chunks: sealed
 //     views share every chunk, and the writer duplicates a chunk the
 //     first time it lands a write in it after a Seal;
@@ -89,13 +89,12 @@ func ParseBackend(s string) (Backend, error) {
 //     stored walks, and the writer clones one node's walk row the first
 //     time a repair touches it after a Seal.
 //
-// Writers that mutate a sealable store outside the incremental core must
-// report every row of S they wrote via MarkRowsDirty before the next
-// Seal — the dense double-buffer syncs exactly those rows on its next
-// flip. The engine threads core.Stats.DirtyRows through after each
-// update; wholesale rewrites (recompute) use the backend's own
-// mark-everything hook. A store that has never been sealed pays nothing
-// for any of this: MarkRowsDirty is a no-op and the write paths skip the
+// Every store tracks its own writes: callers report nothing. The one
+// exception is a wholesale rewrite through the dense backend's raw
+// matrix (recompute), which bypasses the cell marking and must be
+// followed by the backend's mark-everything hook (MarkAllRowsDirty), so
+// the next flip copies the whole buffer. A store that has never been
+// sealed pays nothing for any of this: the write paths skip the
 // copy-on-write checks' slow half entirely.
 //
 // # The concurrent write-back contract
@@ -181,10 +180,10 @@ type Store interface {
 	// Writable reports whether the receiver accepts mutation: false for
 	// sealed views.
 	Writable() bool
-	// MarkRowsDirty reports rows of S written since the last Seal (or
-	// the last MarkRowsDirty call) — the dense double-buffer's re-sync
-	// set. No-op on backends that track sharing themselves (packed,
-	// approx), and on stores never sealed.
+	// MarkRowsDirty is a no-op on every backend: each store tracks its
+	// own writes.
+	//
+	// Deprecated: kept only so existing callers compile.
 	MarkRowsDirty(rows []int)
 }
 

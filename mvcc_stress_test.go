@@ -463,7 +463,7 @@ func TestMVCCPinnedViewSurvivesSharedBufferRecycling(t *testing.T) {
 	}
 	// One straggler costs ONE abandoned buffer, not one per write: once
 	// the pinned buffer is orphaned, the writer must settle back into
-	// steady double-buffer reuse (back held, re-synced by dirty rows)
+	// steady double-buffer reuse (back held, re-synced cell by cell)
 	// even though the straggler is still pinned.
 	if d, ok := ce.eng.s.(*simstore.Dense); !ok || !d.DoubleBuffered() {
 		t.Fatal("writer did not resume double-buffer reuse under a persistent straggler")
